@@ -47,7 +47,7 @@ type benchFile struct {
 // benchLanes lists the recorded benchmarks in print order. The
 // per-tier simulate_nets_<kernel> lanes are appended at runtime, since
 // which tiers run depends on the host.
-var benchLanes = []string{"iss_steps", "plan_build", "simulate_nets", "reference_streamed", "cached_path"}
+var benchLanes = []string{"iss_steps", "plan_build", "registry_lookup", "simulate_nets", "reference_streamed", "cached_path"}
 
 // checkTolerance is how much slower than its frozen baseline a lane's
 // ns/op may drift before `bench -check` fails the run. Wide enough for
@@ -100,6 +100,17 @@ func runBench(argv []string) error {
 			p := plan.Build(prog.Code, prog.CodeBase, prog.Uncached, proc.TIE)
 			if len(p.Recs) != len(prog.Code) {
 				b.Fatal("short plan")
+			}
+		}
+	}))
+
+	// registry_lookup is how every daemon request and CLI resolves a
+	// workload name.
+	current["registry_lookup"] = toEntry(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := workloads.ByName("rs_base"); !ok {
+				b.Fatal("rs_base not in the registry")
 			}
 		}
 	}))

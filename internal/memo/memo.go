@@ -46,12 +46,13 @@ func (d Digest) Hex() string { return hex.EncodeToString(d[:]) }
 type Outcome int
 
 const (
-	// OutcomeMiss: computed fresh (and stored).
+	// OutcomeMiss: computed fresh (and stored: on disk when the store
+	// has a disk tier, else in memory).
 	OutcomeMiss Outcome = iota
 	// OutcomeMemHit: served from the in-memory LRU tier.
 	OutcomeMemHit
 	// OutcomeDiskHit: served from the on-disk CAS tier (and promoted
-	// into memory).
+	// into memory: the first reuse of an entry a miss wrote to disk).
 	OutcomeDiskHit
 	// OutcomeCoalesced: an identical request was already in flight;
 	// this call waited for its result instead of computing.
@@ -98,6 +99,10 @@ type Counters struct {
 	// Corrupt counts disk entries that failed checksum or framing
 	// verification and were deleted and recomputed.
 	Corrupt uint64 `json:"corrupt"`
+	// MemEntries and MemBytes are the memory tier's current occupancy:
+	// entry count and summed payload bytes.
+	MemEntries int   `json:"mem_entries"`
+	MemBytes   int64 `json:"mem_bytes"`
 }
 
 // Options configures a Store.
@@ -185,6 +190,9 @@ func (s *Store) Counters() Counters {
 		Corrupt:   s.corrupt.Load(),
 	}
 	c.Hits = c.MemHits + c.DiskHits
+	s.mu.Lock()
+	c.MemEntries, c.MemBytes = s.ll.Len(), s.bytes
+	s.mu.Unlock()
 	return c
 }
 
@@ -245,7 +253,11 @@ func (s *Store) Do(ctx context.Context, d Digest, compute func(context.Context) 
 }
 
 // lead is the leader's half of Do: disk lookup, then computation and
-// store-back.
+// store-back. With a disk tier, a miss is stored on disk only: the
+// entry enters memory on its first reuse (the disk-hit promotion
+// above), so one-shot requests never crowd repeated ones out of the
+// LRU. A failed disk write stores the miss in memory instead, so a
+// broken disk tier never turns repeats into recomputes.
 func (s *Store) lead(ctx context.Context, d Digest, compute func(context.Context) ([]byte, error)) ([]byte, Outcome, error) {
 	if data, err := s.readDisk(d); err == nil && data != nil {
 		s.putMem(d, data)
@@ -263,8 +275,9 @@ func (s *Store) lead(ctx context.Context, d Digest, compute func(context.Context
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	s.putMem(d, data)
-	s.writeDisk(d, data)
+	if !s.writeDisk(d, data) {
+		s.putMem(d, data)
+	}
 	return data, OutcomeMiss, nil
 }
 
@@ -384,19 +397,21 @@ func (s *Store) readDisk(d Digest) ([]byte, error) {
 }
 
 // writeDisk stores the entry atomically: temp file in the same
-// directory, then rename. The disk tier is best-effort — an unwritable
-// store never fails a request that already holds its result.
-func (s *Store) writeDisk(d Digest, payload []byte) {
+// directory, then rename, and reports whether the entry is now on
+// disk (false for a memory-only store). The disk tier is best-effort —
+// an unwritable store never fails a request that already holds its
+// result.
+func (s *Store) writeDisk(d Digest, payload []byte) bool {
 	if s.dir == "" {
-		return
+		return false
 	}
 	p := s.path(d)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return
+		return false
 	}
 	f, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
 	if err != nil {
-		return
+		return false
 	}
 	sum := sha256.Sum256(payload)
 	var hdr [8]byte
@@ -414,9 +429,11 @@ func (s *Store) writeDisk(d Digest, payload []byte) {
 	cerr := f.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(f.Name())
-		return
+		return false
 	}
 	if err := os.Rename(f.Name(), p); err != nil {
 		os.Remove(f.Name())
+		return false
 	}
+	return true
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +22,9 @@ func newTestStore(t *testing.T, dir string) *Store {
 	return s
 }
 
+// TestDoMissThenHits pins admission on reuse: on a disk-backed store a
+// miss is written to disk only, its first repeat is a disk hit that
+// promotes it, and only then is it served from memory.
 func TestDoMissThenHits(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestStore(t, dir)
@@ -30,18 +35,23 @@ func TestDoMissThenHits(t *testing.T) {
 		return []byte("artifact"), nil
 	}
 
-	got, out, err := s.Do(context.Background(), d, compute)
-	if err != nil || string(got) != "artifact" || out != OutcomeMiss {
-		t.Fatalf("first Do = %q, %v, %v", got, out, err)
-	}
-	got, out, err = s.Do(context.Background(), d, compute)
-	if err != nil || string(got) != "artifact" || out != OutcomeMemHit {
-		t.Fatalf("second Do = %q, %v, %v", got, out, err)
+	want := []struct {
+		out        Outcome
+		memEntries int
+	}{{OutcomeMiss, 0}, {OutcomeDiskHit, 1}, {OutcomeMemHit, 1}}
+	for i, w := range want {
+		got, out, err := s.Do(context.Background(), d, compute)
+		if err != nil || string(got) != "artifact" || out != w.out {
+			t.Fatalf("Do #%d = %q, %v, %v; want outcome %v", i+1, got, out, err, w.out)
+		}
+		if c := s.Counters(); c.MemEntries != w.memEntries {
+			t.Fatalf("after Do #%d: %d entries in memory, want %d", i+1, c.MemEntries, w.memEntries)
+		}
 	}
 
 	// A fresh store over the same directory must hit the disk tier.
 	s2 := newTestStore(t, dir)
-	got, out, err = s2.Do(context.Background(), d, compute)
+	got, out, err := s2.Do(context.Background(), d, compute)
 	if err != nil || string(got) != "artifact" || out != OutcomeDiskHit {
 		t.Fatalf("disk-tier Do = %q, %v, %v", got, out, err)
 	}
@@ -49,7 +59,7 @@ func TestDoMissThenHits(t *testing.T) {
 		t.Fatalf("computed %d times, want 1", n)
 	}
 	c := s.Counters()
-	if c.Misses != 1 || c.MemHits != 1 || c.Hits != 1 {
+	if c.Misses != 1 || c.DiskHits != 1 || c.MemHits != 1 || c.Hits != 2 || c.MemBytes != int64(len("artifact")) {
 		t.Fatalf("counters = %+v", c)
 	}
 	if c2 := s2.Counters(); c2.DiskHits != 1 || c2.Hits != 1 {
@@ -67,6 +77,81 @@ func TestMemoryOnlyStore(t *testing.T) {
 	}
 	if _, out, _ := s.Do(context.Background(), d, nil); out != OutcomeMemHit {
 		t.Fatalf("second Do outcome = %v", out)
+	}
+}
+
+// TestUnwritableDiskAdmitsMissToMemory breaks the disk tier after New.
+// The miss must then be kept in memory, so the repeat is a memory hit
+// rather than a recompute.
+func TestUnwritableDiskAdmitsMissToMemory(t *testing.T) {
+	d := DigestBytes([]byte("req"))
+	cases := []struct {
+		name      string
+		breakDisk func(t *testing.T, s *Store, dir string)
+	}{
+		// A regular file where the entry's shard directory must go
+		// fails the write even for root.
+		{"blocked-shard", func(t *testing.T, s *Store, dir string) {
+			if err := os.WriteFile(filepath.Dir(s.path(d)), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"read-only-root", func(t *testing.T, s *Store, dir string) {
+			if os.Geteuid() == 0 {
+				t.Skip("root ignores directory permissions")
+			}
+			if err := os.Chmod(dir, 0o500); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.Chmod(dir, 0o700) })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newTestStore(t, dir)
+			tc.breakDisk(t, s, dir)
+			var computes atomic.Int64
+			compute := func(context.Context) ([]byte, error) {
+				computes.Add(1)
+				return []byte("artifact"), nil
+			}
+			for i, want := range []Outcome{OutcomeMiss, OutcomeMemHit} {
+				got, out, err := s.Do(context.Background(), d, compute)
+				if err != nil || string(got) != "artifact" || out != want {
+					t.Fatalf("Do #%d = %q, %v, %v; want outcome %v", i+1, got, out, err, want)
+				}
+			}
+			if n := computes.Load(); n != 1 {
+				t.Fatalf("computed %d times, want 1", n)
+			}
+		})
+	}
+}
+
+// TestOneShotMissesStayOnDisk: distinct requests that are never
+// repeated leave the memory tier empty on a disk-backed store, and every
+// one of them is still recallable from disk.
+func TestOneShotMissesStayOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestStore(t, dir)
+	const n = 50
+	for i := 0; i < n; i++ {
+		d := DigestBytes([]byte{byte(i)})
+		if _, out, err := s.Do(context.Background(), d, func(context.Context) ([]byte, error) {
+			return []byte{byte(i)}, nil
+		}); err != nil || out != OutcomeMiss {
+			t.Fatalf("Do #%d = %v, %v", i, out, err)
+		}
+	}
+	if c := s.Counters(); c.MemEntries != 0 || c.MemBytes != 0 || c.Misses != n || c.Evictions != 0 {
+		t.Fatalf("one-shot misses reached memory: %+v", c)
+	}
+	s2 := newTestStore(t, dir)
+	for i := 0; i < n; i++ {
+		if got, out, err := s2.Get(DigestBytes([]byte{byte(i)})); err != nil || out != OutcomeDiskHit || got[0] != byte(i) {
+			t.Fatalf("entry %d: %v, %v, %v", i, got, out, err)
+		}
 	}
 }
 
@@ -212,6 +297,12 @@ func TestThunderingHerdCoalesces(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		<-started
+	}
+	// Release the leader only once every follower has joined its
+	// flight: a late arrival would otherwise find the finished entry on
+	// disk and count as a disk hit instead of a coalesced wait.
+	for s.Counters().Coalesced < n-1 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

@@ -296,11 +296,17 @@ func TestApplicationsListMatchesTable2(t *testing.T) {
 }
 
 func TestApplicationByName(t *testing.T) {
-	if _, ok := ApplicationByName("des"); !ok {
-		t.Fatal("des not found")
+	for _, w := range Applications() {
+		got, ok := ApplicationByName(w.Name)
+		if !ok || got.Name != w.Name || got.Source != w.Source {
+			t.Fatalf("ApplicationByName(%q) disagrees with Applications()", w.Name)
+		}
 	}
-	if _, ok := ApplicationByName("nope"); ok {
-		t.Fatal("bogus app found")
+	// Registry workloads outside Table II are not applications.
+	for _, name := range []string{"nope", "rs_base", "crc32", "tp01_alu_mix"} {
+		if _, ok := ApplicationByName(name); ok {
+			t.Fatalf("ApplicationByName resolved %q", name)
+		}
 	}
 }
 

@@ -39,8 +39,8 @@ type Health struct {
 	// untyped failures under "error".
 	Faults map[string]uint64 `json:"faults,omitempty"`
 	// Memo is the estimation engine's artifact-store accounting:
-	// hits (by tier), misses, coalesced requests, evictions, and
-	// corrupt-entry recoveries.
+	// hits (by tier), misses, coalesced requests, evictions,
+	// corrupt-entry recoveries, and the memory tier's occupancy.
 	Memo *memo.Counters `json:"memo,omitempty"`
 }
 

@@ -94,6 +94,9 @@ func TestDaemonCoalescesThunderingHerd(t *testing.T) {
 	if m.Misses != 1 || m.Coalesced+m.MemHits != n-1 {
 		t.Fatalf("wire memo counters %+v disagree with the herd", m)
 	}
+	if m.MemEntries != 1 || m.MemBytes <= 0 {
+		t.Fatalf("wire memo occupancy %+v, want the herd's one artifact in memory", m)
+	}
 }
 
 // TestDaemonNoCacheBypassesStore sends the same request cached, then
